@@ -817,6 +817,17 @@ fn cmd_bench(options: &Options) -> Result<(), String> {
         ));
     }
     eprintln!("trace recording stayed within its churn-throughput overhead floor");
+    let join_failures = scrip_bench::perf::join_scaling_failures(&report);
+    if !join_failures.is_empty() {
+        return Err(format!(
+            "churn-join scaling gate failed:\n  {}",
+            join_failures.join("\n  ")
+        ));
+    }
+    eprintln!(
+        "churn join scales within n^{}",
+        scrip_bench::perf::MAX_JOIN_SLOPE
+    );
     let budget = scrip_bench::perf::rss_budget_bytes(scale);
     let rss_failures = scrip_bench::perf::check_rss_budget(&report, budget);
     if !rss_failures.is_empty() {

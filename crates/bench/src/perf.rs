@@ -8,7 +8,9 @@
 //! deterministically sharded churn market at 1/2/4 execution shards
 //! (`sharded_s1` is the serial-parity anchor; the report records each
 //! shard count's speedup over it), the chunk-level streaming market's
-//! trade loop, the cost of a wealth Gini sample at large n, and the
+//! trade loop, the preferential churn join at three overlay sizes (gated
+//! on its scaling exponent by [`join_scaling_failures`]), the cost of a
+//! wealth Gini sample at large n, and the
 //! observation layer's probe-dispatch overhead (a full probe set
 //! attached vs a detached recorder on the
 //! n=10k market). Results are written to `BENCH_market.json` (see
@@ -27,7 +29,9 @@ use scrip_core::policy::TaxConfig;
 use scrip_core::protocol::build_streaming_market;
 use scrip_core::sharded::ShardedMarket;
 use scrip_core::streaming::{StreamEvent, StreamingConfig};
-use scrip_des::{FaultSpec, ShardedSimulation, SimDuration, SimTime, Simulation};
+use scrip_des::{FaultSpec, ShardedSimulation, SimDuration, SimRng, SimTime, Simulation};
+use scrip_topology::churn::ChurnTopology;
+use scrip_topology::generators::{scale_free, ScaleFreeConfig};
 
 use crate::scale::RunScale;
 use crate::scenario::{Metric, RunSpec};
@@ -37,14 +41,15 @@ use crate::scenario::{Metric, RunSpec};
 pub struct BenchEntry {
     /// Which hot path this case exercises (`asymmetric`,
     /// `availability_feedback`, `tax`, `churn`, the paired
-    /// `churn_session`/`churn_recorded` overhead rows, or
+    /// `churn_session`/`churn_recorded` overhead rows, `graph_join`, or
     /// `gini_sample`).
     pub regime: String,
     /// Number of peers.
     pub n: usize,
     /// Scale the case ran at (`quick` or `full`).
     pub scale: String,
-    /// Dispatched simulator events (Gini samples for `gini_sample`).
+    /// Dispatched simulator events (Gini samples for `gini_sample`,
+    /// joins for `graph_join`).
     pub events: u64,
     /// Wall-clock seconds for the measured section.
     pub wall_secs: f64,
@@ -489,6 +494,56 @@ fn run_serve_case(n: usize, horizon_secs: u64, scale: &str) -> BenchEntry {
     }
 }
 
+/// Preferential-join scaling sizes at a scale: three overlay sizes a
+/// decade apart, so [`join_scaling_failures`] can fit the log-log slope
+/// of the per-join cost.
+fn join_sizes(scale: RunScale) -> [usize; 3] {
+    match scale {
+        RunScale::Full => [10_000, 100_000, 1_000_000],
+        RunScale::Quick => [1_000, 10_000, 100_000],
+    }
+}
+
+/// Measures [`ChurnTopology::join`] (attach degree 20) on a scale-free
+/// overlay of `n` peers. The overlay and its attachment index are built
+/// untimed, as a churning market builds them in setup. Each joiner
+/// leaves again untimed, so every join sees the same n-peer overlay;
+/// the tombstones this leaves compact and rebuild the index on
+/// schedule, so that amortised cost counts too. `events` is the joins
+/// timed; the row keeps the fastest of three trials.
+fn run_join_case(n: usize, scale: &str) -> BenchEntry {
+    let joins = 1_000u64;
+    let mut rng = SimRng::seed_from_u64(42);
+    let mut graph = scale_free(
+        &ScaleFreeConfig::new(n).expect("valid overlay size"),
+        &mut rng,
+    )
+    .expect("overlay generates");
+    graph.build_attach_index();
+    let churn = ChurnTopology::new(20);
+    let mut best = f64::INFINITY;
+    for _ in 0..3 {
+        let mut wall = 0.0;
+        for _ in 0..joins {
+            let start = Instant::now();
+            let joiner = churn.join(&mut graph, &mut rng);
+            wall += start.elapsed().as_secs_f64();
+            churn.leave(&mut graph, joiner).expect("joiner is live");
+        }
+        best = best.min(wall);
+    }
+    let wall = best.max(1e-9);
+    BenchEntry {
+        regime: "graph_join".into(),
+        n,
+        scale: scale.into(),
+        events: joins,
+        wall_secs: wall,
+        events_per_sec: joins as f64 / wall,
+        peak_rss_bytes: peak_rss_bytes(),
+    }
+}
+
 /// Measures the cost of a wealth-Gini sample at size `n`: run the
 /// asymmetric market briefly to de-equalize wealth, then time repeated
 /// [`CreditMarket::wealth_gini`] calls.
@@ -587,6 +642,14 @@ pub fn run_bench(scale: RunScale) -> BenchReport {
                 entry.events_per_sec / anchor.events_per_sec
             );
         }
+        report.entries.push(entry);
+    }
+    for n in join_sizes(scale) {
+        let entry = run_join_case(n, scale_name);
+        eprintln!(
+            "bench {:<22} n={n:<7} {:>12.0} joins/s ({} joins in {:.3}s)",
+            entry.regime, entry.events_per_sec, entry.events, entry.wall_secs
+        );
         report.entries.push(entry);
     }
     for (attached, n, horizon) in probe_cases(scale) {
@@ -817,6 +880,61 @@ pub fn record_overhead_failures(report: &BenchReport) -> Vec<String> {
                     (1.0 - ratio) * 100.0,
                     anchor.events_per_sec,
                     (1.0 - floor) * 100.0
+                )
+            })
+        })
+        .collect()
+}
+
+/// Steepest log-log slope of per-join cost against overlay size that
+/// [`join_scaling_failures`] accepts. Measured on a 2-core x86-64 VM
+/// with the procedure of `run_join_case`: the linear preferential walk
+/// this gate exists to catch reads 0.95 over the quick sizes (20 µs →
+/// 1.6 ms per join); the Fenwick-indexed join reads 0.32–0.35 quick
+/// (5–7 → 25–27 µs) and 0.43–0.50 full (7–10 → 71–74 µs over
+/// n = 10⁴→10⁶). The indexed join is not O(log n) end to end: each
+/// joiner still makes sorted inserts into hub rows (max degree in the
+/// thousands) and its index lookups miss cache more as n grows, so a
+/// gate near 0.3 would fail the full sizes.
+pub const MAX_JOIN_SLOPE: f64 = 0.7;
+
+/// Least-squares slope of `ln y` against `ln x`.
+fn loglog_slope(points: &[(f64, f64)]) -> f64 {
+    let logs: Vec<(f64, f64)> = points.iter().map(|&(x, y)| (x.ln(), y.ln())).collect();
+    let k = logs.len() as f64;
+    let mean_x = logs.iter().map(|p| p.0).sum::<f64>() / k;
+    let mean_y = logs.iter().map(|p| p.1).sum::<f64>() / k;
+    let cov: f64 = logs.iter().map(|p| (p.0 - mean_x) * (p.1 - mean_y)).sum();
+    let var: f64 = logs.iter().map(|p| (p.0 - mean_x).powi(2)).sum();
+    cov / var
+}
+
+/// The join scaling gate: per scale with at least two `graph_join`
+/// sizes, the log-log slope of seconds per join against n must not
+/// exceed [`MAX_JOIN_SLOPE`], so an O(n) term in the churn join fails
+/// the quick-scale bench. Returns the offending descriptions.
+pub fn join_scaling_failures(report: &BenchReport) -> Vec<String> {
+    let mut scales: Vec<&str> = report.entries.iter().map(|e| e.scale.as_str()).collect();
+    scales.sort_unstable();
+    scales.dedup();
+    scales
+        .into_iter()
+        .filter_map(|scale| {
+            let points: Vec<(f64, f64)> = report
+                .entries
+                .iter()
+                .filter(|e| e.regime == "graph_join" && e.scale == scale)
+                .filter(|e| e.events_per_sec > 0.0)
+                .map(|e| (e.n as f64, 1.0 / e.events_per_sec))
+                .collect();
+            if points.len() < 2 {
+                return None;
+            }
+            let slope = loglog_slope(&points);
+            (slope > MAX_JOIN_SLOPE).then(|| {
+                format!(
+                    "graph_join ({scale}): per-join cost grows as n^{slope:.2} \
+                     (gate: n^{MAX_JOIN_SLOPE})"
                 )
             })
         })
@@ -1080,6 +1198,53 @@ mod tests {
             entries: vec![entry("churn_recorded", 1.0)],
         };
         assert!(record_overhead_failures(&orphan).is_empty());
+    }
+
+    #[test]
+    fn join_scaling_gate_fails_a_linear_join() {
+        let rows = |scale: &str, per_join: [f64; 3]| {
+            [1_000, 10_000, 100_000]
+                .into_iter()
+                .zip(per_join)
+                .map(|(n, secs)| BenchEntry {
+                    regime: "graph_join".into(),
+                    n,
+                    scale: scale.into(),
+                    events: 1_000,
+                    wall_secs: secs * 1_000.0,
+                    events_per_sec: 1.0 / secs,
+                    peak_rss_bytes: None,
+                })
+                .collect::<Vec<_>>()
+        };
+        // Per-join costs of the linear walk (slope 0.92) and of the
+        // indexed join (slope 0.46), as measured.
+        let walk = [1.8e-5, 1.3e-4, 1.25e-3];
+        let indexed = [7.0e-6, 2.0e-5, 5.8e-5];
+        let report = BenchReport {
+            entries: rows("quick", walk)
+                .into_iter()
+                .chain(rows("full", indexed))
+                .collect(),
+        };
+        let failures = join_scaling_failures(&report);
+        assert_eq!(failures.len(), 1, "{failures:?}");
+        assert!(failures[0].contains("(quick)"), "{failures:?}");
+        let slope = loglog_slope(&[(1e3, walk[0]), (1e4, walk[1]), (1e5, walk[2])]);
+        assert!((slope - 0.92).abs() < 0.01, "walk slope {slope}");
+        // A lone size has no slope to gate.
+        let lone = BenchReport {
+            entries: rows("quick", walk).into_iter().take(1).collect(),
+        };
+        assert!(join_scaling_failures(&lone).is_empty());
+    }
+
+    #[test]
+    fn join_case_times_joins_on_a_steady_overlay() {
+        let entry = run_join_case(200, "test");
+        assert_eq!(entry.regime, "graph_join");
+        assert_eq!(entry.events, 1_000);
+        assert!(entry.events_per_sec > 0.0);
     }
 
     #[test]

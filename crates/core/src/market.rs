@@ -580,7 +580,12 @@ impl CreditMarket {
             ));
         }
         let mut rng = SimRng::seed_from_u64(seed);
-        let graph = config.build_graph(&mut rng)?;
+        let mut graph = config.build_graph(&mut rng)?;
+        if config.churn.is_some() {
+            // Joins pick through the graph's attachment index; build it
+            // here so its O(n) cost counts in setup, not the first join.
+            graph.build_attach_index();
+        }
         let mut ledger = Ledger::new();
         for id in graph.node_ids() {
             ledger.mint(id, config.initial_credits);
@@ -835,14 +840,12 @@ impl CreditMarket {
         }
         // Overlay: id watermark, live ids (ascending), edges.
         w.put_u64(self.graph.next_raw_id());
-        let live: Vec<NodeId> = self.graph.node_ids().collect();
-        w.put_u64(live.len() as u64);
-        for id in &live {
+        w.put_u64(self.graph.node_count() as u64);
+        for id in self.graph.node_ids() {
             w.put_u64(id.raw());
         }
-        let edges: Vec<(NodeId, NodeId)> = self.graph.edges().collect();
-        w.put_u64(edges.len() as u64);
-        for (a, b) in &edges {
+        w.put_u64(self.graph.edge_count() as u64);
+        for (a, b) in self.graph.edges() {
             w.put_u64(a.raw());
             w.put_u64(b.raw());
         }
@@ -916,9 +919,9 @@ impl CreditMarket {
     /// frames pin this value at every sampling boundary, and
     /// `tests/fixture_guard.rs` pins it for the golden configurations.
     pub fn state_digest(&self) -> u64 {
-        let mut w = crate::snapshot::Writer::default();
+        let mut w = crate::snapshot::Writer::digesting();
         self.write_state(&mut w);
-        crate::snapshot::fingerprint(w.as_slice())
+        w.digest()
     }
 
     /// Restores the state captured by [`CreditMarket::write_state`]
@@ -987,6 +990,10 @@ impl CreditMarket {
             graph
                 .add_edge(a, b)
                 .map_err(|e| CoreError::Checkpoint(format!("graph rebuild: {e}")))?;
+        }
+        // The attachment index is derived state: rebuilt, not stored.
+        if self.config.churn.is_some() {
+            graph.build_attach_index();
         }
         self.graph = graph;
         // Arena and slot-parallel vectors, in the captured slot order.
@@ -1940,35 +1947,48 @@ mod tests {
     /// stays within ≈100–150 B/peer at a population large enough that
     /// constant overheads vanish. Adjacency (≈ 8 B × degree) and
     /// population-independent scratch are accounted — and bounded —
-    /// separately.
+    /// separately. A churning market also carries the graph's
+    /// attachment index, built with the market: the audit must count
+    /// its 16 B per peer, inside the same band.
     #[test]
     fn arena_layout_stays_within_per_peer_budget() {
-        let config = MarketConfig::new(10_000, 50)
+        let closed = MarketConfig::new(10_000, 50)
             .asymmetric()
             .with_availability_feedback();
-        let market = run(config, 42, 200);
-        let audit = market.memory_audit();
-        assert_eq!(audit.peers, 10_000);
-        let per_peer = audit.state_bytes_per_peer();
+        let closed = run(closed, 42, 200).memory_audit();
+        let churning = MarketConfig::new(10_000, 50)
+            .asymmetric()
+            .churn(ChurnConfig::new(20.0, 500.0, 20).expect("valid churn"));
+        let churning = CreditMarket::build(churning, 42)
+            .expect("built")
+            .memory_audit();
         assert!(
-            (40..=150).contains(&per_peer),
-            "per-peer state out of budget: {per_peer} B/peer ({audit:?})"
+            churning.arena_bytes >= closed.arena_bytes + 16 * 10_000,
+            "attachment index not counted: {churning:?} vs {closed:?}"
         );
-        // Adjacency dominates at ~8 B × degree + row headers; make sure
-        // nothing quadratic snuck in.
-        let adjacency_per_peer = audit.adjacency_bytes / audit.peers;
-        assert!(
-            adjacency_per_peer <= 16 * 50 + 64,
-            "adjacency out of budget: {adjacency_per_peer} B/peer"
-        );
-        // Fixed costs (sampler scratch, wealth histogram, sample
-        // series) are sized by max degree / max wealth / horizon, not
-        // the population — a few MB here regardless of n. An absolute
-        // cap catches anything that started scaling with n².
-        assert!(
-            audit.fixed_bytes < 16 << 20,
-            "fixed costs blew up: {audit:?}"
-        );
+        for (label, audit) in [("closed", closed), ("churning", churning)] {
+            assert_eq!(audit.peers, 10_000);
+            let per_peer = audit.state_bytes_per_peer();
+            assert!(
+                (40..=150).contains(&per_peer),
+                "{label}: per-peer state out of budget: {per_peer} B/peer ({audit:?})"
+            );
+            // Adjacency dominates at ~8 B × degree + row headers; make
+            // sure nothing quadratic snuck in.
+            let adjacency_per_peer = audit.adjacency_bytes / audit.peers;
+            assert!(
+                adjacency_per_peer <= 16 * 50 + 64,
+                "{label}: adjacency out of budget: {adjacency_per_peer} B/peer"
+            );
+            // Fixed costs (sampler scratch, wealth histogram, sample
+            // series) are sized by max degree / max wealth / horizon,
+            // not the population — a few MB here regardless of n. An
+            // absolute cap catches anything that started scaling with n².
+            assert!(
+                audit.fixed_bytes < 16 << 20,
+                "{label}: fixed costs blew up: {audit:?}"
+            );
+        }
     }
 
     #[test]

@@ -18,19 +18,46 @@ pub(crate) const VERSION: u32 = 1;
 #[derive(Debug, Default)]
 pub(crate) struct Writer {
     buf: Vec<u8>,
+    /// Running FNV-1a state of a digesting writer (see
+    /// [`Writer::digesting`]), which folds bytes in place of buffering
+    /// them; `None` for an encoding writer.
+    digest: Option<u64>,
 }
 
 impl Writer {
     /// A writer starting with the magic prefix and format version.
     pub(crate) fn with_header() -> Self {
-        let mut w = Writer { buf: Vec::new() };
+        let mut w = Writer::default();
         w.buf.extend_from_slice(&MAGIC);
         w.put_u32(VERSION);
         w
     }
 
+    /// A writer that folds what it is given into an FNV-1a digest as it
+    /// goes, so [`Writer::digest`] equals [`fingerprint`] of the bytes an
+    /// encoding writer would hold, without materializing them (a market
+    /// state at n = 10⁵ encodes to tens of MB).
+    pub(crate) fn digesting() -> Self {
+        Writer {
+            buf: Vec::new(),
+            digest: Some(FNV_OFFSET),
+        }
+    }
+
+    /// The digest of everything written to a [`Writer::digesting`].
+    pub(crate) fn digest(self) -> u64 {
+        self.digest.expect("a digesting writer")
+    }
+
+    fn put(&mut self, bytes: &[u8]) {
+        match &mut self.digest {
+            Some(h) => *h = fnv_fold(*h, bytes),
+            None => self.buf.extend_from_slice(bytes),
+        }
+    }
+
     pub(crate) fn put_u8(&mut self, v: u8) {
-        self.buf.push(v);
+        self.put(&[v]);
     }
 
     pub(crate) fn put_bool(&mut self, v: bool) {
@@ -38,21 +65,21 @@ impl Writer {
     }
 
     pub(crate) fn put_u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.put(&v.to_le_bytes());
     }
 
     pub(crate) fn put_u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.put(&v.to_le_bytes());
     }
 
     pub(crate) fn put_f64(&mut self, v: f64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.put(&v.to_le_bytes());
     }
 
     /// Length-prefixed opaque block (probe state, nested sections).
     pub(crate) fn put_bytes(&mut self, v: &[u8]) {
         self.put_u64(v.len() as u64);
-        self.buf.extend_from_slice(v);
+        self.put(v);
     }
 
     pub(crate) fn into_bytes(self) -> Vec<u8> {
@@ -168,16 +195,23 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// FNV-1a over a byte string — the configuration fingerprint stored in
-/// every snapshot so a resume against a different scenario fails loudly
-/// instead of silently diverging.
-pub(crate) fn fingerprint(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+/// FNV-1a offset basis.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Continues an FNV-1a hash `h` over `bytes`.
+fn fnv_fold(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
+}
+
+/// FNV-1a over a byte string — the configuration fingerprint stored in
+/// every snapshot so a resume against a different scenario fails loudly
+/// instead of silently diverging.
+pub(crate) fn fingerprint(bytes: &[u8]) -> u64 {
+    fnv_fold(FNV_OFFSET, bytes)
 }
 
 #[cfg(test)]
@@ -203,6 +237,22 @@ mod tests {
         assert_eq!(r.take_f64().expect("f64"), -0.125);
         assert_eq!(r.take_bytes().expect("bytes"), b"hello");
         r.finish().expect("fully consumed");
+    }
+
+    #[test]
+    fn digesting_writer_matches_the_fingerprint_of_the_encoding() {
+        let (mut encoded, mut digested) = (Writer::default(), Writer::digesting());
+        for k in 0..1_000u64 {
+            for w in [&mut encoded, &mut digested] {
+                w.put_u64(k.wrapping_mul(0x9e37_79b9_7f4a_7c15));
+                w.put_u8(k as u8);
+                w.put_u32(k as u32);
+                w.put_f64(k as f64 * 0.5);
+                w.put_bytes(&[k as u8; 3]);
+            }
+        }
+        assert_eq!(digested.digest(), fingerprint(encoded.as_slice()));
+        assert_eq!(Writer::digesting().digest(), fingerprint(&[]));
     }
 
     #[test]

@@ -19,8 +19,8 @@
 //! the proptests in `crates/des/tests/proptests.rs` pin both regimes.
 
 /// A Fenwick (binary-indexed) tree over a dense weight vector supporting
-/// O(n) rebuild, O(log n) point update, and O(log n) weighted inversion
-/// of a cumulative-sum target.
+/// O(n) rebuild, O(log n) point update and append, and O(log n) weighted
+/// inversion of a cumulative-sum target.
 ///
 /// ```
 /// use scrip_des::FenwickSampler;
@@ -35,7 +35,7 @@
 /// assert_eq!(s.pick(1.0), 1); // boundary moves right, like the walk
 /// assert_eq!(s.pick(5.9), 2);
 /// ```
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct FenwickSampler {
     /// 1-based Fenwick array; `tree[0]` is a sentinel. After
     /// [`FenwickSampler::build`], `tree[i]` holds the sum of the leaf
@@ -99,6 +99,34 @@ impl FenwickSampler {
         }
     }
 
+    /// Appends a weight to a built (or empty) sampler in O(log n),
+    /// leaving it in exactly the state `push` + [`FenwickSampler::build`]
+    /// would: the new node sums its children in the order `build` adds
+    /// them, so the tree and the sequential total match bit for bit.
+    ///
+    /// # Panics
+    /// Panics if weights were pushed without a following `build`.
+    pub fn append(&mut self, weight: f64) {
+        if self.tree.is_empty() {
+            self.tree.push(0.0);
+        }
+        assert!(
+            self.tree.len() == self.weights.len() + 1,
+            "append() requires build() after the last push"
+        );
+        self.push(weight);
+        let i = self.weights.len();
+        let mut node = weight;
+        // The children of node `i` are `i - 2^k` for `2^k < lowbit(i)`,
+        // visited in ascending order.
+        let mut step = (i & i.wrapping_neg()) >> 1;
+        while step > 0 {
+            node += self.tree[i - step];
+            step >>= 1;
+        }
+        self.tree.push(node);
+    }
+
     /// Number of weights.
     pub fn len(&self) -> usize {
         self.weights.len()
@@ -115,9 +143,10 @@ impl FenwickSampler {
     }
 
     /// Heap bytes reserved by the tree and weight vectors (capacities,
-    /// the allocator's view). Sized by the *largest neighborhood seen*,
-    /// not the population, so the arena layout audit reports it as a
-    /// fixed scratch cost.
+    /// the allocator's view): 16 B per entry. The market's seller
+    /// sampler is sized by the *largest neighborhood seen*, a fixed
+    /// scratch cost in the arena layout audit; a graph's attachment
+    /// index is sized by its population.
     pub fn heap_bytes(&self) -> usize {
         (self.tree.capacity() + self.weights.capacity()) * std::mem::size_of::<f64>()
     }
@@ -281,6 +310,39 @@ mod tests {
         for t in [0.0, 0.5, 1.0, 9.5, 10.0, 14.9, 15.0, 16.0] {
             assert_eq!(s.pick(t), fresh.pick(t), "target {t}");
         }
+    }
+
+    #[test]
+    fn append_matches_push_and_build() {
+        // Inexact float weights too: `append` must associate each
+        // node's sum in the order `build` does.
+        let weights = [0.1, 3.0, 0.7, 2.0, 0.0, 5.5, 0.3, 1.0, 4.0, 0.2, 9.0];
+        let mut grown = FenwickSampler::new();
+        for (k, &w) in weights.iter().enumerate() {
+            grown.append(w);
+            let fresh = built(&weights[..=k]);
+            assert_eq!(grown.tree.len(), fresh.tree.len());
+            for (a, b) in grown.tree.iter().zip(&fresh.tree) {
+                assert_eq!(a.to_bits(), b.to_bits(), "tree after {} appends", k + 1);
+            }
+            assert_eq!(grown.total().to_bits(), fresh.total().to_bits());
+        }
+        // Appending to a built sampler, after point updates.
+        let mut s = built(&[3.0, 1.0, 4.0]);
+        s.update(1, 6.0);
+        s.append(2.0);
+        s.append(7.0);
+        let fresh = built(&[3.0, 6.0, 4.0, 2.0, 7.0]);
+        assert_eq!(s.tree, fresh.tree);
+        assert_eq!(s.total(), fresh.total());
+    }
+
+    #[test]
+    #[should_panic(expected = "append() requires build()")]
+    fn append_before_build_panics() {
+        let mut s = FenwickSampler::new();
+        s.push(1.0);
+        s.append(2.0);
     }
 
     #[test]

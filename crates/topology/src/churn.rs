@@ -6,23 +6,20 @@
 //! peer takes its credits away and its edges vanish. These operations keep
 //! the overlay usable for the streaming protocol (every node keeps at
 //! least one neighbor whenever possible).
+//!
+//! A join draws its neighbors preferentially, proportionally to
+//! `degree + 1`. The draws go through the [`Graph`]'s attachment index: a
+//! Fenwick tree with one leaf per sorted-ID position (weight `degree + 1`
+//! for a live node, 0 for a removed one) that the graph keeps current on
+//! every edge and node mutation in O(log n). A join therefore costs
+//! O(log n) per pick plus the sorted inserts into its neighbors' rows, not
+//! the O(n) weight walk over the whole population it replaces. The
+//! weights are integers, so the descent is exact in `f64` and selects the
+//! same node the walk would for the same draw.
 
 use rand::Rng;
 
 use crate::graph::{Graph, GraphError, NodeId};
-
-/// How a joining peer selects its initial neighbors.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum AttachmentRule {
-    /// Choose neighbors uniformly at random.
-    Uniform,
-    /// Choose neighbors proportionally to their current degree, which
-    /// preserves the scale-free shape under churn (preferential
-    /// attachment). This is the default, matching the paper's scale-free
-    /// overlays.
-    #[default]
-    Preferential,
-}
 
 /// Configuration for churn operations.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -30,80 +27,49 @@ pub struct ChurnTopology {
     /// Number of neighbors a joining peer attaches to (capped by the
     /// current overlay size).
     pub attach_degree: usize,
-    /// Neighbor selection rule on join.
-    pub rule: AttachmentRule,
 }
 
 impl Default for ChurnTopology {
     fn default() -> Self {
-        ChurnTopology {
-            attach_degree: 20,
-            rule: AttachmentRule::Preferential,
-        }
+        ChurnTopology { attach_degree: 20 }
     }
 }
 
 impl ChurnTopology {
     /// Creates a churn config attaching each joiner to `attach_degree`
-    /// neighbors with the default preferential rule.
+    /// neighbors.
     pub fn new(attach_degree: usize) -> Self {
-        ChurnTopology {
-            attach_degree,
-            ..Default::default()
-        }
+        ChurnTopology { attach_degree }
     }
 
     /// Adds a node to the overlay and wires it to up to
-    /// [`ChurnTopology::attach_degree`] existing nodes per the attachment
-    /// rule. Returns the new node's ID.
+    /// [`ChurnTopology::attach_degree`] distinct existing nodes, drawn
+    /// proportionally to `degree + 1` (preferential attachment, which
+    /// keeps the overlay scale-free under churn; the +1 keeps isolated
+    /// nodes reachable). Returns the new node's ID.
+    ///
+    /// Each draw costs O(log n) through the graph's attachment index
+    /// ([`Graph::attach_pick`]). All picks see the pre-join weights, and
+    /// the joiner is added only after them.
     pub fn join<R: Rng + ?Sized>(&self, graph: &mut Graph, rng: &mut R) -> NodeId {
-        let existing: Vec<NodeId> = graph.node_ids().collect();
-        let new = graph.add_node();
-        if existing.is_empty() {
-            return new;
+        let live = graph.node_count();
+        if live == 0 {
+            return graph.add_node();
         }
-        let want = self.attach_degree.min(existing.len()).max(1);
-        match self.rule {
-            AttachmentRule::Uniform => {
-                let mut pool = existing;
-                // Partial Fisher–Yates: first `want` entries become the sample.
-                for i in 0..want {
-                    let j = rng.gen_range(i..pool.len());
-                    pool.swap(i, j);
-                }
-                for &nb in &pool[..want] {
-                    graph.add_edge(new, nb).expect("distinct live nodes");
-                }
+        let want = self.attach_degree.min(live).max(1);
+        let total = graph.attach_total();
+        let mut chosen: Vec<NodeId> = Vec::with_capacity(want);
+        let mut guard = 0usize;
+        while chosen.len() < want && guard < 1000 * want {
+            guard += 1;
+            let pick = graph.attach_pick(rng.gen::<f64>() * total);
+            if !chosen.contains(&pick) {
+                chosen.push(pick);
             }
-            AttachmentRule::Preferential => {
-                // Degree-proportional sampling with +1 smoothing so isolated
-                // nodes remain reachable.
-                let weights: Vec<f64> = existing
-                    .iter()
-                    .map(|&id| (graph.degree(id).unwrap_or(0) + 1) as f64)
-                    .collect();
-                let total: f64 = weights.iter().sum();
-                let mut chosen: Vec<NodeId> = Vec::with_capacity(want);
-                let mut guard = 0usize;
-                while chosen.len() < want && guard < 1000 * want {
-                    guard += 1;
-                    let mut target = rng.gen::<f64>() * total;
-                    let mut pick = existing[existing.len() - 1];
-                    for (i, &w) in weights.iter().enumerate() {
-                        if target < w {
-                            pick = existing[i];
-                            break;
-                        }
-                        target -= w;
-                    }
-                    if !chosen.contains(&pick) {
-                        chosen.push(pick);
-                    }
-                }
-                for &nb in &chosen {
-                    graph.add_edge(new, nb).expect("distinct live nodes");
-                }
-            }
+        }
+        let new = graph.add_node();
+        for &nb in &chosen {
+            graph.add_edge(new, nb).expect("distinct live nodes");
         }
         new
     }
@@ -149,18 +115,6 @@ mod tests {
         let churn = ChurnTopology::new(100);
         let id = churn.join(&mut g, &mut rng);
         assert_eq!(g.degree(id), Some(4));
-    }
-
-    #[test]
-    fn uniform_rule_attaches() {
-        let mut rng = SimRng::seed_from_u64(4);
-        let mut g = generators::complete(20);
-        let churn = ChurnTopology {
-            attach_degree: 7,
-            rule: AttachmentRule::Uniform,
-        };
-        let id = churn.join(&mut g, &mut rng);
-        assert_eq!(g.degree(id), Some(7));
     }
 
     #[test]

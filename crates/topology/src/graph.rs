@@ -6,10 +6,18 @@
 //! directly (no per-event clone, no tree walk); churn updates it
 //! incrementally (binary-search insert/remove) instead of rebuilding
 //! neighborhoods.
+//!
+//! Graphs that churn also carry a degree-weighted preferential-attachment
+//! index (see [`Graph::attach_pick`]): a [`FenwickSampler`] with one leaf
+//! per sorted-ID position, kept current by every mutation in O(log n), so
+//! a joiner's neighbor picks cost O(log n) each instead of a linear walk
+//! over the whole population.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::error::Error;
 use std::fmt;
+
+use scrip_des::FenwickSampler;
 
 /// A stable identifier for an overlay node.
 ///
@@ -102,6 +110,15 @@ pub struct Graph {
     dead_sorted: usize,
     next_id: u64,
     edge_count: usize,
+    /// Preferential-attachment index, parallel to `sorted_ids`: leaf `k`
+    /// weighs `degree + 1` if `sorted_ids[k]` is live and 0 if it is a
+    /// tombstone. Built on the first [`Graph::attach_pick`] (or by
+    /// [`Graph::build_attach_index`]), dropped by `sorted_ids`
+    /// compaction, and `None` on graphs that never churn, which then pay
+    /// one branch per mutation. Weights are integers below 2^53, so every
+    /// incremental update is exact and the index always equals a fresh
+    /// build.
+    attach: Option<FenwickSampler>,
 }
 
 /// Slot sentinel for IDs that are not (or no longer) in the graph.
@@ -140,6 +157,7 @@ impl Graph {
             dead_sorted: 0,
             next_id: 0,
             edge_count: 0,
+            attach: None,
         };
         for _ in 0..n {
             g.add_node();
@@ -165,7 +183,22 @@ impl Graph {
         self.adjacency.push(Vec::new());
         // Fresh IDs are the largest ever allocated: push keeps the order.
         self.sorted_ids.push(id);
+        if let Some(index) = &mut self.attach {
+            index.append(1.0);
+        }
         id
+    }
+
+    /// Adds `delta` to the attachment weight of live node `id`, if the
+    /// index is built.
+    fn bump_attach(&mut self, id: NodeId, delta: f64) {
+        if let Some(index) = &mut self.attach {
+            let pos = self
+                .sorted_ids
+                .binary_search(&id)
+                .expect("live ids are listed");
+            index.update(pos, index.weight(pos) + delta);
+        }
     }
 
     /// Removes a node and all incident edges, returning its former
@@ -182,8 +215,12 @@ impl Graph {
             if let Ok(pos) = row.binary_search(&id) {
                 row.remove(pos);
             }
+            self.bump_attach(nb, -1.0);
         }
         self.edge_count -= neighbors.len();
+        // Zero the leaver's leaf while its id is still live in the list.
+        let own_weight = neighbors.len() as f64 + 1.0;
+        self.bump_attach(id, -own_weight);
         // Swap-remove the slot and repoint the node that moved into it.
         self.adjacency.swap_remove(slot);
         self.slot_ids.swap_remove(slot);
@@ -199,6 +236,9 @@ impl Graph {
             self.sorted_ids
                 .retain(|nid| id_to_slot[nid.0 as usize] != ABSENT);
             self.dead_sorted = 0;
+            // Leaf positions moved; the next pick rebuilds (O(n), paid
+            // once per O(n) removals).
+            self.attach = None;
         }
         Ok(neighbors)
     }
@@ -223,6 +263,8 @@ impl Graph {
             .expect_err("adjacency symmetric");
         self.adjacency[slot_b].insert(pos_b, a);
         self.edge_count += 1;
+        self.bump_attach(a, 1.0);
+        self.bump_attach(b, 1.0);
         Ok(true)
     }
 
@@ -242,6 +284,8 @@ impl Graph {
             .expect("adjacency symmetric");
         self.adjacency[slot_b].remove(pos_b);
         self.edge_count -= 1;
+        self.bump_attach(a, -1.0);
+        self.bump_attach(b, -1.0);
         Ok(true)
     }
 
@@ -285,14 +329,61 @@ impl Graph {
         self.edge_count
     }
 
-    /// Heap bytes reserved by the slot bookkeeping (slot ↔ ID maps and
-    /// the sorted live-ID list), excluding adjacency rows. Capacities,
+    /// Heap bytes reserved by the slot bookkeeping (slot ↔ ID maps, the
+    /// sorted live-ID list and, once built, the attachment index at
+    /// 16 B per sorted-ID entry), excluding adjacency rows. Capacities,
     /// not lengths — the allocator's view. See
     /// [`Graph::adjacency_heap_bytes`] for the row storage.
     pub fn slot_map_heap_bytes(&self) -> usize {
         self.slot_ids.capacity() * std::mem::size_of::<NodeId>()
             + self.id_to_slot.capacity() * std::mem::size_of::<u32>()
             + self.sorted_ids.capacity() * std::mem::size_of::<NodeId>()
+            + self.attach.as_ref().map_or(0, FenwickSampler::heap_bytes)
+    }
+
+    /// Builds the preferential-attachment index if it is not built yet,
+    /// in O(n). Callers that know the graph will churn build it up front
+    /// so the cost lands in setup rather than in the first join.
+    pub fn build_attach_index(&mut self) {
+        if self.attach.is_some() {
+            return;
+        }
+        let mut index = FenwickSampler::with_capacity(self.sorted_ids.len());
+        for &id in &self.sorted_ids {
+            index.push(self.degree(id).map_or(0.0, |d| d as f64 + 1.0));
+        }
+        index.build();
+        self.attach = Some(index);
+    }
+
+    /// Σ (degree + 1) over live nodes: the total preferential-attachment
+    /// weight, exact (an integer held in an `f64`). Builds the index if
+    /// needed.
+    pub fn attach_total(&mut self) -> f64 {
+        self.build_attach_index();
+        self.attach.as_ref().expect("just built").total()
+    }
+
+    /// The live node a degree-proportional (`degree + 1`) draw selects
+    /// for `target ∈ [0, attach_total())`, in O(log n): the first node,
+    /// in ascending ID order, whose cumulative weight exceeds `target`.
+    /// A `target` at or past the total falls back to the last live node.
+    /// This is exactly the node a linear cumulative walk over
+    /// [`Graph::node_ids`] would select. Builds the index if needed.
+    ///
+    /// # Panics
+    /// Panics if the graph has no live node.
+    pub fn attach_pick(&mut self, target: f64) -> NodeId {
+        self.build_attach_index();
+        let pos = self.attach.as_ref().expect("just built").pick(target);
+        // Zero-weight tombstones are never selected except by the
+        // clamp to the last position; step back to the last live id.
+        self.sorted_ids[..=pos]
+            .iter()
+            .rev()
+            .copied()
+            .find(|&id| self.slot(id).is_some())
+            .expect("attach_pick() on a graph with no live node")
     }
 
     /// Heap bytes reserved by the CSR-style adjacency rows: each row's
@@ -660,6 +751,52 @@ mod tests {
             compact.edges().collect::<Vec<_>>()
         );
         assert_eq!(churned.dense_index(), compact.dense_index());
+    }
+
+    /// The attachment index is maintained incrementally; after any
+    /// mutation sequence, its leaves, tree and total must equal a fresh
+    /// build (`degree + 1` per live id, 0 per tombstone) exactly.
+    #[test]
+    fn attach_index_equals_a_fresh_build() {
+        use scrip_des::SimRng;
+        let fresh = |g: &Graph| {
+            let mut index = FenwickSampler::new();
+            for &id in &g.sorted_ids {
+                index.push(g.degree(id).map_or(0.0, |d| d as f64 + 1.0));
+            }
+            index.build();
+            index
+        };
+        for seed in 0..8 {
+            let mut rng = SimRng::seed_from_u64(seed);
+            let mut g = Graph::with_nodes(24);
+            let mut compactions = 0;
+            for _ in 0..400 {
+                let live: Vec<NodeId> = g.node_ids().collect();
+                let a = live[rng.index(live.len())];
+                let b = live[rng.index(live.len())];
+                match rng.index(6) {
+                    0 => {
+                        g.add_node();
+                    }
+                    1 if live.len() > 2 => {
+                        let before = g.sorted_ids.len();
+                        g.remove_node(a).expect("live");
+                        compactions += usize::from(g.sorted_ids.len() < before);
+                    }
+                    2 => {
+                        let _ = g.remove_edge(a, b);
+                    }
+                    _ if a != b => {
+                        g.add_edge(a, b).expect("live");
+                    }
+                    _ => {}
+                }
+                g.build_attach_index();
+                assert_eq!(g.attach.as_ref(), Some(&fresh(&g)));
+            }
+            assert!(compactions > 0, "seed {seed} never compacted");
+        }
     }
 
     #[test]

@@ -1,11 +1,117 @@
 //! Property-based tests for overlay graphs and generators.
 
 use proptest::prelude::*;
+use rand::Rng;
 use scrip_des::SimRng;
 use scrip_topology::churn::ChurnTopology;
 use scrip_topology::generators::{self, ScaleFreeConfig};
 use scrip_topology::metrics;
-use scrip_topology::{Graph, Partition};
+use scrip_topology::{Graph, NodeId, Partition};
+
+/// The O(n) preferential walk `ChurnTopology::join` used before the
+/// graph's attachment index, verbatim: weights `degree + 1` over the
+/// live ids in ascending order, first id whose cumulative weight
+/// exceeds the target, last live id when the target is not consumed.
+fn walk_pick(graph: &Graph, target: f64) -> NodeId {
+    let existing: Vec<NodeId> = graph.node_ids().collect();
+    let weights: Vec<f64> = existing
+        .iter()
+        .map(|&id| (graph.degree(id).unwrap_or(0) + 1) as f64)
+        .collect();
+    let mut target = target;
+    let mut pick = existing[existing.len() - 1];
+    for (i, &w) in weights.iter().enumerate() {
+        if target < w {
+            pick = existing[i];
+            break;
+        }
+        target -= w;
+    }
+    pick
+}
+
+/// The walk's total weight: the sequential sum of the same weights.
+fn walk_total(graph: &Graph) -> f64 {
+    graph
+        .node_ids()
+        .map(|id| (graph.degree(id).unwrap_or(0) + 1) as f64)
+        .sum()
+}
+
+/// The pre-index preferential join, verbatim: collect the live ids,
+/// add the joiner, draw `want` distinct neighbors by the walk.
+fn walk_join(attach_degree: usize, graph: &mut Graph, rng: &mut SimRng) -> NodeId {
+    let existing: Vec<NodeId> = graph.node_ids().collect();
+    let new = graph.add_node();
+    if existing.is_empty() {
+        return new;
+    }
+    let want = attach_degree.min(existing.len()).max(1);
+    let weights: Vec<f64> = existing
+        .iter()
+        .map(|&id| (graph.degree(id).unwrap_or(0) + 1) as f64)
+        .collect();
+    let total: f64 = weights.iter().sum();
+    let mut chosen: Vec<NodeId> = Vec::with_capacity(want);
+    let mut guard = 0usize;
+    while chosen.len() < want && guard < 1000 * want {
+        guard += 1;
+        let mut target = rng.gen::<f64>() * total;
+        let mut pick = existing[existing.len() - 1];
+        for (i, &w) in weights.iter().enumerate() {
+            if target < w {
+                pick = existing[i];
+                break;
+            }
+            target -= w;
+        }
+        if !chosen.contains(&pick) {
+            chosen.push(pick);
+        }
+    }
+    for &nb in &chosen {
+        graph.add_edge(new, nb).expect("distinct live nodes");
+    }
+    new
+}
+
+/// Checks `attach_pick` against the walk at every integer target (each
+/// prefix boundary and both sides of it), at random fractional targets,
+/// and past the total, where both fall back to the last live id.
+fn assert_picks_match_walk(graph: &mut Graph, rng: &mut SimRng) -> Result<(), TestCaseError> {
+    let total = walk_total(graph);
+    prop_assert_eq!(graph.attach_total().to_bits(), total.to_bits());
+    let fractional: Vec<f64> = (0..16).map(|_| rng.gen::<f64>() * total).collect();
+    let integers = (0..=total as u64 + 1).map(|k| k as f64);
+    for target in integers.chain(fractional).chain([total * 1.5, f64::MAX]) {
+        prop_assert_eq!(
+            graph.attach_pick(target),
+            walk_pick(graph, target),
+            "target {} of total {}",
+            target,
+            total
+        );
+    }
+    Ok(())
+}
+
+/// Rebuilds `graph` the way a checkpoint restore does: allocate the id
+/// watermark, drop the dead ids, relink the edges. The result has the
+/// same overlay but a different tombstone layout in its sorted ids.
+fn rebuild_like_checkpoint(graph: &Graph) -> Graph {
+    let live: Vec<NodeId> = graph.node_ids().collect();
+    let mut rebuilt = Graph::with_nodes(graph.next_raw_id() as usize);
+    for raw in 0..graph.next_raw_id() {
+        let id = NodeId::from_raw(raw);
+        if live.binary_search(&id).is_err() {
+            rebuilt.remove_node(id).expect("allocated id");
+        }
+    }
+    for (a, b) in graph.edges() {
+        rebuilt.add_edge(a, b).expect("live endpoints");
+    }
+    rebuilt
+}
 
 proptest! {
     /// The handshake lemma holds under arbitrary edit sequences.
@@ -67,6 +173,96 @@ proptest! {
         for id in g.node_ids() {
             prop_assert!(!g.has_edge(id, id));
         }
+    }
+
+    /// The attachment index selects exactly what the O(n) walk it
+    /// replaced selects, and a join through it is the old join: the
+    /// same overlay and the same RNG stream afterwards. Checked after
+    /// every step of random join/leave/edge-edit sequences, through a
+    /// forced `sorted_ids` compaction, with trailing tombstones under
+    /// the past-the-total fallback, and on a checkpoint-style rebuild.
+    #[test]
+    fn attach_pick_matches_the_walk(
+        n in 10usize..40,
+        ops in prop::collection::vec((0u8..5, 0usize..1000, 0usize..1000), 1..60),
+        attach in 1usize..6,
+        seed in 0u64..1000,
+    ) {
+        let mut rng = SimRng::seed_from_u64(seed);
+        let config = ScaleFreeConfig::new(n).expect("valid");
+        let mut g = generators::scale_free(&config, &mut rng).expect("generated");
+        let mut twin = g.clone();
+        let churn = ChurnTopology::new(attach);
+        let step = |g: &mut Graph, twin: &mut Graph, rng: &mut SimRng, op: u8, a: usize, b: usize| {
+            let live: Vec<NodeId> = g.node_ids().collect();
+            let x = live[a % live.len()];
+            match op {
+                0 => {
+                    let mut twin_rng = rng.clone();
+                    let joined = churn.join(g, rng);
+                    let expected = walk_join(attach, twin, &mut twin_rng);
+                    assert_eq!(joined, expected);
+                    assert_eq!(rng.gen::<u64>(), twin_rng.gen::<u64>(), "RNG streams diverged");
+                }
+                1 | 2 if live.len() > 2 => {
+                    churn.leave(g, x).expect("live");
+                    churn.leave(twin, x).expect("live");
+                }
+                3 => {
+                    let y = live[b % live.len()];
+                    if x != y {
+                        g.add_edge(x, y).expect("live");
+                        twin.add_edge(x, y).expect("live");
+                    }
+                }
+                _ => {
+                    let row = g.neighbor_slice(x).expect("live").to_vec();
+                    if !row.is_empty() {
+                        let y = row[b % row.len()];
+                        assert!(g.remove_edge(x, y).expect("live"));
+                        assert!(twin.remove_edge(x, y).expect("live"));
+                    }
+                }
+            }
+        };
+        for &(op, a, b) in &ops {
+            step(&mut g, &mut twin, &mut rng, op, a, b);
+            prop_assert_eq!(&g, &twin);
+            assert_picks_match_walk(&mut g, &mut rng)?;
+        }
+        // Leave down to a third of the peak: more than half the sorted
+        // ids die, which forces at least one compaction.
+        let floor = (g.node_count() / 3).max(2);
+        while g.node_count() > floor {
+            let first = g.node_ids().next().expect("live");
+            step(&mut g, &mut twin, &mut rng, 1, 0, 0);
+            prop_assert!(!g.has_node(first));
+            assert_picks_match_walk(&mut g, &mut rng)?;
+        }
+        // Joins after the compaction rebuild the dropped index.
+        for _ in 0..4 {
+            step(&mut g, &mut twin, &mut rng, 0, 0, 0);
+            prop_assert_eq!(&g, &twin);
+            assert_picks_match_walk(&mut g, &mut rng)?;
+        }
+        // Trailing tombstones: the highest live ids leave, so the
+        // past-the-total clamp lands on a dead position and must step
+        // back to the last live id.
+        for _ in 0..2 {
+            if g.node_count() > 2 {
+                let last = g.node_ids().last().expect("live");
+                churn.leave(&mut g, last).expect("live");
+                churn.leave(&mut twin, last).expect("live");
+                assert_picks_match_walk(&mut g, &mut rng)?;
+            }
+        }
+        let mut rebuilt = rebuild_like_checkpoint(&g);
+        prop_assert_eq!(&rebuilt, &g);
+        assert_picks_match_walk(&mut rebuilt, &mut rng)?;
+        let mut rng_a = rng.clone();
+        let joined = churn.join(&mut rebuilt, &mut rng);
+        prop_assert_eq!(joined, walk_join(attach, &mut twin, &mut rng_a));
+        prop_assert_eq!(&rebuilt, &twin);
     }
 
     /// Mean degree matches the handshake identity.
