@@ -9,7 +9,9 @@
 //! (`sharded_s1` is the serial-parity anchor; the report records each
 //! shard count's speedup over it), the chunk-level streaming market's
 //! trade loop, the preferential churn join at three overlay sizes (gated
-//! on its scaling exponent by [`join_scaling_failures`]), the cost of a
+//! on its scaling exponent by [`join_scaling_failures`]), whole-market
+//! setup ([`CreditMarket::build`], `overlay_build`) at the same three
+//! sizes, the cost of a
 //! wealth Gini sample at large n, and the
 //! observation layer's probe-dispatch overhead (a full probe set
 //! attached vs a detached recorder on the
@@ -41,15 +43,15 @@ use crate::scenario::{Metric, RunSpec};
 pub struct BenchEntry {
     /// Which hot path this case exercises (`asymmetric`,
     /// `availability_feedback`, `tax`, `churn`, the paired
-    /// `churn_session`/`churn_recorded` overhead rows, `graph_join`, or
-    /// `gini_sample`).
+    /// `churn_session`/`churn_recorded` overhead rows, `graph_join`,
+    /// `overlay_build`, or `gini_sample`).
     pub regime: String,
     /// Number of peers.
     pub n: usize,
     /// Scale the case ran at (`quick` or `full`).
     pub scale: String,
     /// Dispatched simulator events (Gini samples for `gini_sample`,
-    /// joins for `graph_join`).
+    /// joins for `graph_join`, peers built for `overlay_build`).
     pub events: u64,
     /// Wall-clock seconds for the measured section.
     pub wall_secs: f64,
@@ -494,10 +496,10 @@ fn run_serve_case(n: usize, horizon_secs: u64, scale: &str) -> BenchEntry {
     }
 }
 
-/// Preferential-join scaling sizes at a scale: three overlay sizes a
-/// decade apart, so [`join_scaling_failures`] can fit the log-log slope
-/// of the per-join cost.
-fn join_sizes(scale: RunScale) -> [usize; 3] {
+/// Scaling sizes at a scale: three overlay sizes a decade apart, so
+/// [`join_scaling_failures`] can fit the log-log slope of the per-join
+/// cost, and the `overlay_build` rows show how setup grows with n.
+fn scaling_sizes(scale: RunScale) -> [usize; 3] {
     match scale {
         RunScale::Full => [10_000, 100_000, 1_000_000],
         RunScale::Quick => [1_000, 10_000, 100_000],
@@ -540,6 +542,32 @@ fn run_join_case(n: usize, scale: &str) -> BenchEntry {
         events: joins,
         wall_secs: wall,
         events_per_sec: joins as f64 / wall,
+        peak_rss_bytes: peak_rss_bytes(),
+    }
+}
+
+/// Measures [`CreditMarket::build`] of the asymmetric closed market at
+/// `n` peers: overlay generation (stub shuffle, bulk edge load,
+/// component scan), then wallets, rates and prices — the setup every
+/// scenario case and served job pays before its first event. `events`
+/// is the peers built; the row keeps the fastest of three builds.
+fn run_build_case(n: usize, scale: &str) -> BenchEntry {
+    let config = regime_config("asymmetric", n);
+    let mut best = f64::INFINITY;
+    for _ in 0..3 {
+        let start = Instant::now();
+        let market = CreditMarket::build(config.clone(), 42).expect("bench market builds");
+        best = best.min(start.elapsed().as_secs_f64());
+        assert_eq!(market.peer_count(), n);
+    }
+    let wall = best.max(1e-9);
+    BenchEntry {
+        regime: "overlay_build".into(),
+        n,
+        scale: scale.into(),
+        events: n as u64,
+        wall_secs: wall,
+        events_per_sec: n as f64 / wall,
         peak_rss_bytes: peak_rss_bytes(),
     }
 }
@@ -644,11 +672,19 @@ pub fn run_bench(scale: RunScale) -> BenchReport {
         }
         report.entries.push(entry);
     }
-    for n in join_sizes(scale) {
+    for n in scaling_sizes(scale) {
         let entry = run_join_case(n, scale_name);
         eprintln!(
             "bench {:<22} n={n:<7} {:>12.0} joins/s ({} joins in {:.3}s)",
             entry.regime, entry.events_per_sec, entry.events, entry.wall_secs
+        );
+        report.entries.push(entry);
+    }
+    for n in scaling_sizes(scale) {
+        let entry = run_build_case(n, scale_name);
+        eprintln!(
+            "bench {:<22} n={n:<7} {:>12.0} peers/s (built in {:.3}s)",
+            entry.regime, entry.events_per_sec, entry.wall_secs
         );
         report.entries.push(entry);
     }
@@ -1244,6 +1280,14 @@ mod tests {
         let entry = run_join_case(200, "test");
         assert_eq!(entry.regime, "graph_join");
         assert_eq!(entry.events, 1_000);
+        assert!(entry.events_per_sec > 0.0);
+    }
+
+    #[test]
+    fn build_case_times_a_whole_market_build() {
+        let entry = run_build_case(200, "test");
+        assert_eq!(entry.regime, "overlay_build");
+        assert_eq!(entry.events, 200);
         assert!(entry.events_per_sec > 0.0);
     }
 

@@ -571,16 +571,10 @@ impl CreditMarket {
     /// Returns [`CoreError`] for invalid configurations or topology
     /// failures.
     pub fn build(config: MarketConfig, seed: u64) -> Result<Self, CoreError> {
-        config.validate()?;
-        if config.streaming.is_some() {
-            return Err(CoreError::Config(
-                "config selects a chunk-level streaming market; build it with \
-                 crate::protocol::run_streaming_market instead"
-                    .into(),
-            ));
-        }
-        let mut rng = SimRng::seed_from_u64(seed);
-        let mut graph = config.build_graph(&mut rng)?;
+        let mut market = CreditMarket::unpopulated(config, seed)?;
+        let config = &market.config;
+        let rng = &mut market.rng;
+        let mut graph = config.build_graph(rng)?;
         if config.churn.is_some() {
             // Joins pick through the graph's attachment index; build it
             // here so its O(n) cost counts in setup, not the first join.
@@ -591,13 +585,53 @@ impl CreditMarket {
             ledger.mint(id, config.initial_credits);
         }
         ledger.enable_wealth_tracking();
-        let mu_map = spending_rates(&graph, config.profile, config.base_rate, &mut rng)?;
+        let mu_map = spending_rates(&graph, config.profile, config.base_rate, rng)?;
         let peer_ids: Vec<NodeId> = graph.node_ids().collect();
-        let pricing = PricingModel::realize(config.pricing, &peer_ids, &mut rng)?;
-        let taxation = config.tax.map(Taxation::new);
-        let mu = peer_ids.iter().map(|id| mu_map[id]).collect();
+        market.pricing = PricingModel::realize(config.pricing, &peer_ids, rng)?;
+        market.mu = peer_ids.iter().map(|id| mu_map[id]).collect();
         let n = peer_ids.len();
-        let attach = config.churn.map(|c| c.attach_degree).unwrap_or(20);
+        market.spent = vec![0; n];
+        market.activity = vec![(1.0, SimTime::ZERO); n];
+        market.in_flight = vec![0; n];
+        market.arena = PeerArena::from_ids(&peer_ids);
+        market.graph = graph;
+        market.ledger = ledger;
+        Ok(market)
+    }
+
+    /// Rebuilds a market from the state a checkpoint captured with
+    /// `CreditMarket::write_state`, without generating an overlay: only
+    /// the fields the state does not carry come from `config` and
+    /// `seed`, then `read_state` fills in the rest.
+    ///
+    /// # Errors
+    /// Returns [`CoreError::Config`] for configurations
+    /// [`CreditMarket::build`] rejects, and [`CoreError::Checkpoint`]
+    /// for truncated or inconsistent state, or state taken under a
+    /// different fault or taxation setting.
+    pub(crate) fn restore(
+        config: MarketConfig,
+        seed: u64,
+        r: &mut crate::snapshot::Reader<'_>,
+    ) -> Result<Self, CoreError> {
+        let mut market = CreditMarket::unpopulated(config, seed)?;
+        market.read_state(r)?;
+        Ok(market)
+    }
+
+    /// The market [`CreditMarket::build`] and [`CreditMarket::restore`]
+    /// start from: the validated config, the seeded RNG, the fault plan,
+    /// taxation, churn topology and sampler scratch, with no peers and
+    /// every counter zero.
+    fn unpopulated(config: MarketConfig, seed: u64) -> Result<Self, CoreError> {
+        config.validate()?;
+        if config.streaming.is_some() {
+            return Err(CoreError::Config(
+                "config selects a chunk-level streaming market; build it with \
+                 crate::protocol::run_streaming_market instead"
+                    .into(),
+            ));
+        }
         // An all-zero spec builds no plan at all: the fault stream is
         // never derived and the run is byte-identical to `faults: None`.
         let fault_plan = match &config.faults {
@@ -606,29 +640,30 @@ impl CreditMarket {
             }
             _ => None,
         };
+        let attach = config.churn.map(|c| c.attach_degree).unwrap_or(20);
         Ok(CreditMarket {
-            config,
-            graph,
-            ledger,
-            pricing,
-            taxation,
+            graph: Graph::new(),
+            ledger: Ledger::new(),
+            pricing: PricingModel::restore_state(config.pricing, &[], 0)?,
+            taxation: config.tax.map(Taxation::new),
             churn_topology: ChurnTopology::new(attach),
-            rng,
-            arena: PeerArena::from_ids(&peer_ids),
-            mu,
-            spent: vec![0; n],
+            rng: SimRng::seed_from_u64(seed),
+            arena: PeerArena::new(),
+            mu: Vec::new(),
+            spent: Vec::new(),
             total_spent: 0,
-            activity: vec![(1.0, SimTime::ZERO); n],
+            activity: Vec::new(),
             seller_sampler: FenwickSampler::new(),
             denied: 0,
             purchases: 0,
             gini_series: TimeSeries::new(),
             bootstrapped: false,
             fault_plan,
-            in_flight: vec![0; n],
+            in_flight: Vec::new(),
             in_flight_total: 0,
             fault_stats: FaultStats::default(),
             trade_capture: None,
+            config,
         })
     }
 
@@ -924,17 +959,16 @@ impl CreditMarket {
         w.digest()
     }
 
-    /// Restores the state captured by [`CreditMarket::write_state`]
-    /// into a market freshly built from the same configuration and
-    /// seed.
+    /// Reads the state captured by [`CreditMarket::write_state`] into
+    /// the unpopulated market [`CreditMarket::restore`] made from the
+    /// same configuration and seed, overwriting every field the state
+    /// carries. Every count read sizes an allocation only after the
+    /// bytes left could hold that many items.
     ///
     /// # Errors
     /// Returns [`CoreError::Checkpoint`] for truncated or inconsistent
     /// snapshots.
-    pub(crate) fn read_state(
-        &mut self,
-        r: &mut crate::snapshot::Reader<'_>,
-    ) -> Result<(), CoreError> {
+    fn read_state(&mut self, r: &mut crate::snapshot::Reader<'_>) -> Result<(), CoreError> {
         let mut rng_state = [0u64; 4];
         for word in &mut rng_state {
             *word = r.take_u64()?;
@@ -960,18 +994,32 @@ impl CreditMarket {
             }
         }
         // Overlay rebuild through the public graph API: allocate the
-        // full id watermark, drop the dead ids, relink the edges. All
+        // full id watermark, drop the dead ids, bulk-load the edges. All
         // market-visible graph reads (sorted ids, sorted neighbor
         // slices) are layout-independent, so this reproduces them
         // exactly.
         let watermark = r.take_u64()?;
-        let live_count = r.take_u64()?;
-        let mut live = Vec::with_capacity(live_count as usize);
+        let live_count = r.take_count(8)?;
+        let mut live: Vec<NodeId> = Vec::with_capacity(live_count);
         for _ in 0..live_count {
-            live.push(NodeId::from_raw(r.take_u64()?));
+            let id = NodeId::from_raw(r.take_u64()?);
+            if live.last().is_some_and(|&last| last >= id) {
+                return Err(CoreError::Checkpoint(format!(
+                    "graph rebuild: live id {id} out of ascending order"
+                )));
+            }
+            live.push(id);
         }
-        let edge_count = r.take_u64()?;
-        let mut edges = Vec::with_capacity(edge_count as usize);
+        // Slots are u32s, and every live id was allocated below the
+        // watermark; anything else is not a state `write_state` wrote.
+        if watermark > u64::from(u32::MAX) || live.last().is_some_and(|id| id.raw() >= watermark) {
+            return Err(CoreError::Checkpoint(format!(
+                "graph rebuild: id watermark {watermark} is not above every live id \
+                 within the u32 slot space"
+            )));
+        }
+        let edge_count = r.take_count(16)?;
+        let mut edges = Vec::with_capacity(edge_count);
         for _ in 0..edge_count {
             let a = NodeId::from_raw(r.take_u64()?);
             let b = NodeId::from_raw(r.take_u64()?);
@@ -986,23 +1034,23 @@ impl CreditMarket {
                     .map_err(|e| CoreError::Checkpoint(format!("graph rebuild: {e}")))?;
             }
         }
-        for (a, b) in edges {
-            graph
-                .add_edge(a, b)
-                .map_err(|e| CoreError::Checkpoint(format!("graph rebuild: {e}")))?;
-        }
+        graph
+            .extend_edges(&edges)
+            .map_err(|e| CoreError::Checkpoint(format!("graph rebuild: {e}")))?;
+        drop(edges);
         // The attachment index is derived state: rebuilt, not stored.
         if self.config.churn.is_some() {
             graph.build_attach_index();
         }
         self.graph = graph;
         // Arena and slot-parallel vectors, in the captured slot order.
-        let n = r.take_u64()? as usize;
+        // Per slot: id, mu, spent, activity (value, time), in-flight.
+        let n = r.take_count(48)?;
         let mut ids = Vec::with_capacity(n);
-        self.mu.clear();
-        self.spent.clear();
-        self.activity.clear();
-        self.in_flight.clear();
+        self.mu = Vec::with_capacity(n);
+        self.spent = Vec::with_capacity(n);
+        self.activity = Vec::with_capacity(n);
+        self.in_flight = Vec::with_capacity(n);
         for _ in 0..n {
             ids.push(NodeId::from_raw(r.take_u64()?));
             self.mu.push(r.take_f64()?);
@@ -1013,7 +1061,7 @@ impl CreditMarket {
             self.in_flight.push(r.take_u64()?);
         }
         self.arena = PeerArena::from_ids(&ids);
-        let entry_count = r.take_u64()? as usize;
+        let entry_count = r.take_count(16)?;
         let mut entries = Vec::with_capacity(entry_count);
         for _ in 0..entry_count {
             let id = NodeId::from_raw(r.take_u64()?);
@@ -1036,8 +1084,8 @@ impl CreditMarket {
         self.fault_stats.retries = r.take_u64()?;
         self.fault_stats.refunded = r.take_u64()?;
         self.fault_stats.crashes = r.take_u64()?;
-        let depth = r.take_u64()? as usize;
-        self.fault_stats.retry_depth.clear();
+        let depth = r.take_count(8)?;
+        self.fault_stats.retry_depth = Vec::with_capacity(depth);
         for _ in 0..depth {
             self.fault_stats.retry_depth.push(r.take_u64()?);
         }
@@ -1056,7 +1104,7 @@ impl CreditMarket {
                 )));
             }
         }
-        let seller_count = r.take_u64()? as usize;
+        let seller_count = r.take_count(16)?;
         let mut sellers = Vec::with_capacity(seller_count);
         for _ in 0..seller_count {
             let id = NodeId::from_raw(r.take_u64()?);
@@ -1065,7 +1113,7 @@ impl CreditMarket {
         }
         let price_seed = r.take_u64()?;
         self.pricing = PricingModel::restore_state(self.config.pricing, &sellers, price_seed)?;
-        let sample_count = r.take_u64()? as usize;
+        let sample_count = r.take_count(16)?;
         let mut series = TimeSeries::new();
         for _ in 0..sample_count {
             let t = SimTime::from_micros(r.take_u64()?);
@@ -1989,6 +2037,49 @@ mod tests {
                 "{label}: fixed costs blew up: {audit:?}"
             );
         }
+    }
+
+    /// `restore` refuses what `build` refuses (a streaming config),
+    /// with the same error, and state whose fault plan or taxation the
+    /// configuration does not build; matching state restores exactly.
+    #[test]
+    fn restore_rejects_streaming_and_mismatched_state() {
+        use crate::snapshot::{Reader, Writer};
+        let state = |config: MarketConfig| {
+            let market = CreditMarket::build(config, 5).expect("builds");
+            let mut w = Writer::default();
+            market.write_state(&mut w);
+            (w.into_bytes(), market.state_digest())
+        };
+        let plain = MarketConfig::new(30, 10);
+        let spec = FaultSpec {
+            drop_rate: 0.1,
+            ..FaultSpec::default()
+        };
+        let faulted = MarketConfig::new(30, 10).faults(spec);
+        let taxed = MarketConfig::new(30, 10).tax(TaxConfig::new(0.2, 20).expect("valid tax"));
+        let (plain_bytes, plain_digest) = state(plain.clone());
+        let streaming = MarketConfig::new(30, 10)
+            .streaming_market(scrip_streaming::StreamingConfig::market_paced(1.0));
+        assert_eq!(
+            CreditMarket::restore(streaming.clone(), 5, &mut Reader::new(&plain_bytes)).map(|_| ()),
+            CreditMarket::build(streaming, 5).map(|_| ())
+        );
+        let mismatch = |config: MarketConfig, bytes: &[u8], what: &str| {
+            let restored = CreditMarket::restore(config, 5, &mut Reader::new(bytes));
+            match restored {
+                Err(CoreError::Checkpoint(msg)) => assert!(msg.contains(what), "{msg}"),
+                other => panic!("expected a {what}, got {:?}", other.map(|_| ())),
+            }
+        };
+        mismatch(faulted.clone(), &plain_bytes, "fault plan mismatch");
+        mismatch(plain.clone(), &state(faulted).0, "fault plan mismatch");
+        mismatch(taxed.clone(), &plain_bytes, "taxation mismatch");
+        mismatch(plain.clone(), &state(taxed).0, "taxation mismatch");
+        let mut r = Reader::new(&plain_bytes);
+        let restored = CreditMarket::restore(plain, 5, &mut r).expect("restores");
+        r.finish().expect("state fully read");
+        assert_eq!(restored.state_digest(), plain_digest);
     }
 
     #[test]

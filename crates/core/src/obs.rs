@@ -1450,20 +1450,20 @@ impl Session {
         let seed = r.take_u64()?;
         let clock = SimTime::from_micros(r.take_u64()?);
         let events_processed = r.take_u64()?;
-        let pending_len = r.take_u64()?;
-        let mut pending = Vec::with_capacity(pending_len as usize);
+        // Per event: time, seq, and at least a one-byte event tag.
+        let pending_len = r.take_count(17)?;
+        let mut pending = Vec::with_capacity(pending_len);
         for _ in 0..pending_len {
             let time = SimTime::from_micros(r.take_u64()?);
             let seq = r.take_u64()?;
             let event = MarketEvent::decode(&mut r)?;
             pending.push(Scheduled { time, seq, event });
         }
-        let mut market = CreditMarket::build(config.clone(), seed)?;
-        market.read_state(&mut r)?;
+        let market = CreditMarket::restore(config.clone(), seed, &mut r)?;
         let interval = SimDuration::from_micros(r.take_u64()?);
         let next_tick = SimTime::from_micros(r.take_u64()?);
-        let stops_len = r.take_u64()?;
-        let mut stops = Vec::with_capacity(stops_len as usize);
+        let stops_len = r.take_count(8)?;
+        let mut stops = Vec::with_capacity(stops_len);
         for _ in 0..stops_len {
             stops.push(SimTime::from_micros(r.take_u64()?));
         }
@@ -1874,6 +1874,163 @@ mod tests {
         // The pristine snapshot still resumes.
         let resumed = Session::resume(&config, Vec::new(), &bytes).expect("resumes");
         assert_eq!(resumed.now(), SimTime::from_secs(100));
+    }
+
+    /// The graph of a queue-level session.
+    fn session_graph(session: &Session) -> &scrip_topology::Graph {
+        match &session.sim {
+            SessionSim::Queue(sim) => sim.model().graph(),
+            _ => panic!("queue-level session"),
+        }
+    }
+
+    /// Restore generates no overlay. For every market family `build`
+    /// realises differently, a resumed checkpoint must carry the
+    /// straight run's state digest at the checkpoint boundary and at the
+    /// horizon.
+    #[test]
+    fn restore_reproduces_the_state_digest_for_every_built_family() {
+        use crate::market::ChurnConfig;
+        use crate::policy::TaxConfig;
+        use crate::pricing::PricingConfig;
+        let base = || MarketConfig::new(60, 20).sample_interval(SimDuration::from_secs(50));
+        let faults = scrip_des::FaultSpec {
+            drop_rate: 0.10,
+            defect_rate: 0.05,
+            delay_rate: 0.05,
+            crash_fraction: 0.10,
+            onset: SimTime::from_secs(20),
+            ..scrip_des::FaultSpec::default()
+        };
+        let families = [
+            ("near-symmetric rates", base().near_symmetric(0.3)),
+            (
+                "seller-Poisson pricing",
+                base()
+                    .asymmetric()
+                    .pricing(PricingConfig::SellerPoisson { mean: 2.0 }),
+            ),
+            (
+                "chunk-Poisson pricing",
+                base()
+                    .asymmetric()
+                    .pricing(PricingConfig::ChunkPoisson { mean: 1.0 }),
+            ),
+            (
+                "taxation",
+                base()
+                    .asymmetric()
+                    .tax(TaxConfig::new(0.2, 25).expect("valid tax")),
+            ),
+            ("faults", base().asymmetric().faults(faults)),
+            (
+                "churn",
+                base().churn(ChurnConfig::new(0.6, 60.0, 8).expect("valid churn")),
+            ),
+        ];
+        let (stop, horizon) = (SimTime::from_secs(300), SimTime::from_secs(500));
+        for (family, config) in families {
+            let mut straight = Session::from_config(&config, 11).expect("builds");
+            straight.run_until(stop);
+            let at_stop = straight.view().state_digest();
+            let bytes = straight.checkpoint().expect("checkpoints");
+            if config.churn.is_some() {
+                // Over half the ids ever allocated have left, so the
+                // sorted ids compacted at least once; later leaves
+                // tombstone again.
+                let graph = session_graph(&straight);
+                assert!(
+                    graph.next_raw_id() > 2 * graph.node_count() as u64,
+                    "churn never compacted: {} ids, {} live",
+                    graph.next_raw_id(),
+                    graph.node_count()
+                );
+            }
+            straight.run_until(horizon);
+            let mut resumed = Session::resume(&config, Vec::new(), &bytes).expect("resumes");
+            assert_eq!(
+                resumed.view().state_digest(),
+                at_stop,
+                "{family}: restored state differs"
+            );
+            resumed.run_until(horizon);
+            assert_eq!(
+                resumed.view().state_digest(),
+                straight.view().state_digest(),
+                "{family}: diverged after resume"
+            );
+        }
+    }
+
+    /// Every count that sizes an allocation or a loop while resuming —
+    /// pending events, live ids, edges, arena slots, ledger entries,
+    /// retry depth, sellers, Gini samples, stops and probe series —
+    /// fails closed when patched beyond what the bytes left could hold:
+    /// `Reader::take_count` refuses it before any `Vec::with_capacity`.
+    /// So does an id watermark that is not above every live id or does
+    /// not fit the u32 slot space.
+    #[test]
+    fn resume_fails_closed_on_hostile_counts() {
+        let faults = scrip_des::FaultSpec {
+            drop_rate: 0.10,
+            defect_rate: 0.05,
+            onset: SimTime::from_secs(10),
+            ..scrip_des::FaultSpec::default()
+        };
+        let config = MarketConfig::new(40, 20)
+            .asymmetric()
+            .pricing(crate::pricing::PricingConfig::SellerPoisson { mean: 2.0 })
+            .churn(crate::market::ChurnConfig::new(0.4, 200.0, 6).expect("valid churn"))
+            .faults(faults)
+            .sample_interval(SimDuration::from_secs(50));
+        let mut session = Session::from_config(&config, 9).expect("builds");
+        for probe in checkpoint_probes() {
+            session.attach(probe);
+        }
+        session.run_until(SimTime::from_secs(300));
+        let bytes = session.checkpoint().expect("checkpoints");
+        let resume = |bytes: &[u8]| {
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                Session::resume(&config, checkpoint_probes(), bytes).map(|_| ())
+            }))
+        };
+        let offsets = snapshot::count_offsets(&bytes, |b| {
+            resume(b)
+                .expect("no panic")
+                .expect("the pristine checkpoint resumes")
+        });
+        // Pending, 7 market counts, stops, and the probes' series (the
+        // snapshot probe's nested balance count included).
+        assert!(offsets.len() >= 13, "only {} count sites", offsets.len());
+        let read_u64 =
+            |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"));
+        for &at in &offsets {
+            let remaining = (bytes.len() - at - 8) as u64;
+            for hostile in [u64::MAX / 2, remaining + 1] {
+                let mut patched = bytes.clone();
+                patched[at..at + 8].copy_from_slice(&hostile.to_le_bytes());
+                assert!(
+                    matches!(resume(&patched), Ok(Err(CoreError::Checkpoint(_)))),
+                    "count at offset {at} patched to {hostile} did not fail closed"
+                );
+            }
+        }
+        // The watermark sits just before the live-id count (the first
+        // market count); the last live id closes that list.
+        let live_at = offsets[1];
+        let watermark_at = live_at - 8;
+        let graph = session_graph(&session);
+        assert_eq!(read_u64(watermark_at), graph.next_raw_id());
+        assert_eq!(read_u64(live_at), graph.node_count() as u64);
+        let last_live = read_u64(live_at + 8 * graph.node_count());
+        for hostile in [last_live, u64::from(u32::MAX) + 1, u64::MAX / 2] {
+            let mut patched = bytes.clone();
+            patched[watermark_at..watermark_at + 8].copy_from_slice(&hostile.to_le_bytes());
+            assert!(
+                matches!(resume(&patched), Ok(Err(CoreError::Checkpoint(_)))),
+                "watermark {hostile} accepted"
+            );
+        }
     }
 
     /// A unique temp path for trace tests; removed by `TracePath::drop`.

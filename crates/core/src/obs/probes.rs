@@ -34,8 +34,8 @@ fn encode_points(w: &mut Writer, points: &[(f64, f64)]) {
 
 /// Decodes a block written by [`encode_points`].
 fn decode_points(r: &mut Reader<'_>) -> Result<Vec<(f64, f64)>, CoreError> {
-    let len = r.take_u64()?;
-    let mut points = Vec::with_capacity(len as usize);
+    let len = r.take_count(16)?;
+    let mut points = Vec::with_capacity(len);
     for _ in 0..len {
         let x = r.take_f64()?;
         let y = r.take_f64()?;
@@ -142,12 +142,13 @@ impl Probe for SnapshotsProbe {
 
     fn restore_state(&mut self, state: &[u8]) -> Result<(), CoreError> {
         let mut r = Reader::new(state);
-        let len = r.take_u64()?;
-        let mut taken = Vec::with_capacity(len as usize);
+        // Per sample: time, then a count of balances.
+        let len = r.take_count(16)?;
+        let mut taken = Vec::with_capacity(len);
         for _ in 0..len {
             let t = r.take_u64()?;
-            let n = r.take_u64()?;
-            let mut balances = Vec::with_capacity(n as usize);
+            let n = r.take_count(8)?;
+            let mut balances = Vec::with_capacity(n);
             for _ in 0..n {
                 balances.push(r.take_u64()?);
             }

@@ -175,6 +175,27 @@ impl<'a> Reader<'a> {
         ))
     }
 
+    /// A count of items that follow, each at least `min_item_bytes`
+    /// long on the wire. Fails unless that many items could fit in the
+    /// bytes left, so a hostile count can never size an allocation (or
+    /// a loop) beyond the snapshot that carries it.
+    pub(crate) fn take_count(&mut self, min_item_bytes: usize) -> Result<usize, CoreError> {
+        #[cfg(test)]
+        record_count_site(&self.data[self.pos..]);
+        let at = self.pos;
+        let count = self.take_u64()?;
+        let left = self.data.len() - self.pos;
+        usize::try_from(count)
+            .ok()
+            .filter(|&c| c.checked_mul(min_item_bytes).is_some_and(|b| b <= left))
+            .ok_or_else(|| {
+                CoreError::Checkpoint(format!(
+                    "count {count} at offset {at} exceeds the {left} bytes left \
+                     ({min_item_bytes} per item)"
+                ))
+            })
+    }
+
     /// A length-prefixed block written by [`Writer::put_bytes`].
     pub(crate) fn take_bytes(&mut self) -> Result<&'a [u8], CoreError> {
         let len = self.take_u64()?;
@@ -193,6 +214,39 @@ impl<'a> Reader<'a> {
         }
         Ok(())
     }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// While `Some`, the address of every count field [`Reader::take_count`]
+    /// reads on this thread, nested blocks included, so a test can find
+    /// and patch each one in the buffer it decoded.
+    static COUNT_SITES: std::cell::RefCell<Option<Vec<usize>>> =
+        const { std::cell::RefCell::new(None) };
+}
+
+#[cfg(test)]
+fn record_count_site(at: &[u8]) {
+    COUNT_SITES.with(|sites| {
+        if let Some(sites) = sites.borrow_mut().as_mut() {
+            sites.push(at.as_ptr() as usize);
+        }
+    });
+}
+
+/// Runs `decode` on `bytes` and returns the offset into `bytes` of every
+/// count field it read through [`Reader::take_count`], in read order.
+#[cfg(test)]
+pub(crate) fn count_offsets<T>(bytes: &[u8], decode: impl FnOnce(&[u8]) -> T) -> Vec<usize> {
+    COUNT_SITES.with(|sites| *sites.borrow_mut() = Some(Vec::new()));
+    decode(bytes);
+    let sites = COUNT_SITES.with(|sites| sites.borrow_mut().take().unwrap_or_default());
+    let base = bytes.as_ptr() as usize;
+    sites
+        .into_iter()
+        .filter(|&at| at >= base && at < base + bytes.len())
+        .map(|at| at - base)
+        .collect()
 }
 
 /// FNV-1a offset basis.
@@ -267,6 +321,33 @@ mod tests {
         // Trailing garbage.
         let r = Reader::with_header(&bytes).expect("header ok");
         assert!(r.finish().is_err());
+    }
+
+    #[test]
+    fn take_count_rejects_counts_the_remaining_bytes_cannot_hold() {
+        let mut w = Writer::default();
+        w.put_u64(3);
+        for v in [1u64, 2, 3] {
+            w.put_u64(v);
+        }
+        let bytes = w.into_bytes();
+        assert_eq!(Reader::new(&bytes).take_count(8).expect("fits"), 3);
+        assert!(Reader::new(&bytes).take_count(9).is_err());
+        for hostile in [4, u64::MAX / 2, u64::MAX] {
+            let mut patched = bytes.clone();
+            patched[..8].copy_from_slice(&hostile.to_le_bytes());
+            assert!(
+                matches!(
+                    Reader::new(&patched).take_count(8),
+                    Err(CoreError::Checkpoint(_))
+                ),
+                "count {hostile} accepted"
+            );
+        }
+        assert_eq!(
+            count_offsets(&bytes, |b| Reader::new(b).take_count(8)),
+            vec![0]
+        );
     }
 
     #[test]

@@ -113,11 +113,16 @@ impl ScaleFreeConfig {
 
 /// Generates a connected scale-free overlay via the configuration model.
 ///
-/// Draws a degree sequence from a bounded power law matched to
-/// `config.mean_degree`, pairs stubs uniformly at random (rejecting
-/// self-loops and parallel edges), then links any leftover components so
-/// the overlay is connected — matching the paper's always-connected
-/// streaming swarm.
+/// Draws a degree sequence from the bounded power law `config`
+/// describes, pairs stubs uniformly at random (rejecting self-loops and
+/// parallel edges), then links any leftover components so the overlay is
+/// connected — matching the paper's always-connected streaming swarm.
+///
+/// Cost is O(E) with sequential memory access: one Fisher–Yates shuffle
+/// of the stub list, one [`Graph::extend_edges`] bulk load of the paired
+/// stubs (equal to adding them one by one, which never drew from the
+/// RNG), and one component scan. The RNG draw sequence is that of the
+/// per-edge build, so every seed yields the same overlay.
 ///
 /// # Errors
 /// Returns [`GenError`] for invalid parameters or unachievable mean
@@ -169,13 +174,16 @@ pub fn scale_free<R: Rng + ?Sized>(
         let j = rng.gen_range(0..=i);
         stubs.swap(i, j);
     }
-    for pair in stubs.chunks_exact(2) {
-        let (a, b) = (ids[pair[0]], ids[pair[1]]);
-        if a != b {
-            // Parallel edges collapse silently (add_edge is idempotent).
-            let _ = graph.add_edge(a, b);
-        }
-    }
+    // Self-loops are skipped; parallel edges collapse in the bulk load.
+    let edges: Vec<(NodeId, NodeId)> = stubs
+        .chunks_exact(2)
+        .map(|pair| (ids[pair[0]], ids[pair[1]]))
+        .filter(|(a, b)| a != b)
+        .collect();
+    drop(stubs);
+    graph
+        .extend_edges(&edges)
+        .expect("stubs pair live, distinct nodes");
 
     connect_components(&mut graph, rng);
     Ok(graph)

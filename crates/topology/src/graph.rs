@@ -7,13 +7,21 @@
 //! incrementally (binary-search insert/remove) instead of rebuilding
 //! neighborhoods.
 //!
+//! Whole overlays load in bulk: [`Graph::extend_edges`] reserves each
+//! touched row once, appends both directions of every edge, then sorts
+//! and deduplicates the touched rows — O(E) with sequential writes, where
+//! per-edge [`Graph::add_edge`] pays a binary search and a `Vec::insert`
+//! into a random peer's growing row. Generators and checkpoint restore
+//! use it; component scans mark visits in a flat `Vec<bool>` indexed by
+//! raw id.
+//!
 //! Graphs that churn also carry a degree-weighted preferential-attachment
 //! index (see [`Graph::attach_pick`]): a [`FenwickSampler`] with one leaf
 //! per sorted-ID position, kept current by every mutation in O(log n), so
 //! a joiner's neighbor picks cost O(log n) each instead of a linear walk
 //! over the whole population.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 
@@ -268,6 +276,51 @@ impl Graph {
         Ok(true)
     }
 
+    /// Adds every edge in `edges`, in bulk: the result equals calling
+    /// [`Graph::add_edge`] on each pair in order (duplicates and edges
+    /// already present collapse), at O(E + Σ touched-row sort) instead
+    /// of one binary-search insert per edge. Every pair is validated
+    /// before anything changes, so on error the graph is untouched. Each
+    /// touched row is reserved once, appended to, then sorted and
+    /// deduplicated. The attachment index is dropped; the next
+    /// [`Graph::attach_pick`] (or [`Graph::build_attach_index`])
+    /// rebuilds it.
+    ///
+    /// # Errors
+    /// Returns the error the first invalid pair would raise from
+    /// [`Graph::add_edge`]: [`GraphError::SelfLoop`] or
+    /// [`GraphError::NoSuchNode`].
+    pub fn extend_edges(&mut self, edges: &[(NodeId, NodeId)]) -> Result<(), GraphError> {
+        let mut added = vec![0u32; self.adjacency.len()];
+        for &(a, b) in edges {
+            if a == b {
+                return Err(GraphError::SelfLoop(a));
+            }
+            let slot_a = self.slot(a).ok_or(GraphError::NoSuchNode(a))?;
+            let slot_b = self.slot(b).ok_or(GraphError::NoSuchNode(b))?;
+            added[slot_a] += 1;
+            added[slot_b] += 1;
+        }
+        for (row, &k) in self.adjacency.iter_mut().zip(&added) {
+            row.reserve_exact(k as usize);
+        }
+        for &(a, b) in edges {
+            let slot_a = self.id_to_slot[a.0 as usize] as usize;
+            let slot_b = self.id_to_slot[b.0 as usize] as usize;
+            self.adjacency[slot_a].push(b);
+            self.adjacency[slot_b].push(a);
+        }
+        for (row, &k) in self.adjacency.iter_mut().zip(&added) {
+            if k > 0 {
+                row.sort_unstable();
+                row.dedup();
+            }
+        }
+        self.edge_count = self.adjacency.iter().map(Vec::len).sum::<usize>() / 2;
+        self.attach = None;
+        Ok(())
+    }
+
     /// Removes an undirected edge. Returns `true` if it existed.
     ///
     /// # Errors
@@ -431,22 +484,22 @@ impl Graph {
     /// The connected components, each a sorted vector of node IDs; the
     /// components themselves are sorted by their smallest member.
     pub fn connected_components(&self) -> Vec<Vec<NodeId>> {
-        let mut visited: BTreeSet<NodeId> = BTreeSet::new();
+        // Visited marks indexed by raw id; each component doubles as its
+        // own BFS queue (`head` walks it while neighbors are appended).
+        let mut visited = vec![false; self.id_to_slot.len()];
         let mut components = Vec::new();
         for start in self.node_ids() {
-            if visited.contains(&start) {
+            if visited[start.0 as usize] {
                 continue;
             }
-            let mut component = Vec::new();
-            let mut queue = VecDeque::from([start]);
-            visited.insert(start);
-            while let Some(node) = queue.pop_front() {
-                component.push(node);
-                if let Some(nbrs) = self.neighbors(node) {
-                    for nb in nbrs {
-                        if visited.insert(nb) {
-                            queue.push_back(nb);
-                        }
+            visited[start.0 as usize] = true;
+            let mut component = vec![start];
+            let mut head = 0;
+            while let Some(&node) = component.get(head) {
+                head += 1;
+                for &nb in self.neighbor_slice(node).unwrap_or(&[]) {
+                    if !std::mem::replace(&mut visited[nb.0 as usize], true) {
+                        component.push(nb);
                     }
                 }
             }
@@ -753,20 +806,24 @@ mod tests {
         assert_eq!(churned.dense_index(), compact.dense_index());
     }
 
+    /// The attachment index a fresh build yields: `degree + 1` per live
+    /// id, 0 per tombstone.
+    fn fresh_attach_index(g: &Graph) -> FenwickSampler {
+        let mut index = FenwickSampler::new();
+        for &id in &g.sorted_ids {
+            index.push(g.degree(id).map_or(0.0, |d| d as f64 + 1.0));
+        }
+        index.build();
+        index
+    }
+
     /// The attachment index is maintained incrementally; after any
     /// mutation sequence, its leaves, tree and total must equal a fresh
     /// build (`degree + 1` per live id, 0 per tombstone) exactly.
     #[test]
     fn attach_index_equals_a_fresh_build() {
         use scrip_des::SimRng;
-        let fresh = |g: &Graph| {
-            let mut index = FenwickSampler::new();
-            for &id in &g.sorted_ids {
-                index.push(g.degree(id).map_or(0.0, |d| d as f64 + 1.0));
-            }
-            index.build();
-            index
-        };
+        let fresh = fresh_attach_index;
         for seed in 0..8 {
             let mut rng = SimRng::seed_from_u64(seed);
             let mut g = Graph::with_nodes(24);
@@ -796,6 +853,37 @@ mod tests {
                 assert_eq!(g.attach.as_ref(), Some(&fresh(&g)));
             }
             assert!(compactions > 0, "seed {seed} never compacted");
+        }
+    }
+
+    /// A bulk load drops the index (its leaves no longer match the
+    /// degrees), and the rebuild equals a fresh build exactly — also on
+    /// a graph carrying tombstones, and when later removals compact.
+    #[test]
+    fn extend_edges_drops_an_index_that_rebuilds_exactly() {
+        use scrip_des::SimRng;
+        let mut rng = SimRng::seed_from_u64(5);
+        let mut g = Graph::with_nodes(40);
+        for _ in 0..12 {
+            let live: Vec<NodeId> = g.node_ids().collect();
+            g.remove_node(live[rng.index(live.len())]).expect("live");
+        }
+        assert!(g.dead_sorted > 0, "tombstones present");
+        g.build_attach_index();
+        let live: Vec<NodeId> = g.node_ids().collect();
+        let pairs: Vec<(NodeId, NodeId)> = (0..60)
+            .map(|_| (live[rng.index(live.len())], live[rng.index(live.len())]))
+            .filter(|(a, b)| a != b)
+            .collect();
+        g.extend_edges(&pairs).expect("live pairs");
+        assert!(g.attach.is_none(), "a stale index survived the bulk load");
+        g.build_attach_index();
+        assert_eq!(g.attach.as_ref(), Some(&fresh_attach_index(&g)));
+        while g.dead_sorted > 0 {
+            let first = g.node_ids().next().expect("live");
+            g.remove_node(first).expect("live");
+            g.build_attach_index();
+            assert_eq!(g.attach.as_ref(), Some(&fresh_attach_index(&g)));
         }
     }
 

@@ -1,7 +1,10 @@
 //! Property-based tests for overlay graphs and generators.
 
+use std::collections::{BTreeSet, VecDeque};
+
 use proptest::prelude::*;
 use rand::Rng;
+use scrip_des::dist::DiscretePowerLaw;
 use scrip_des::SimRng;
 use scrip_topology::churn::ChurnTopology;
 use scrip_topology::generators::{self, ScaleFreeConfig};
@@ -96,7 +99,7 @@ fn assert_picks_match_walk(graph: &mut Graph, rng: &mut SimRng) -> Result<(), Te
 }
 
 /// Rebuilds `graph` the way a checkpoint restore does: allocate the id
-/// watermark, drop the dead ids, relink the edges. The result has the
+/// watermark, drop the dead ids, bulk-load the edges. The result has the
 /// same overlay but a different tombstone layout in its sorted ids.
 fn rebuild_like_checkpoint(graph: &Graph) -> Graph {
     let live: Vec<NodeId> = graph.node_ids().collect();
@@ -107,10 +110,146 @@ fn rebuild_like_checkpoint(graph: &Graph) -> Graph {
             rebuilt.remove_node(id).expect("allocated id");
         }
     }
-    for (a, b) in graph.edges() {
-        rebuilt.add_edge(a, b).expect("live endpoints");
-    }
+    let edges: Vec<(NodeId, NodeId)> = graph.edges().collect();
+    rebuilt.extend_edges(&edges).expect("live endpoints");
     rebuilt
+}
+
+/// `Graph::connected_components` before the flat visited marks,
+/// verbatim: BFS from each unvisited id in ascending order, visits
+/// marked in a `BTreeSet`.
+fn btree_components(graph: &Graph) -> Vec<Vec<NodeId>> {
+    let mut visited: BTreeSet<NodeId> = BTreeSet::new();
+    let mut components = Vec::new();
+    for start in graph.node_ids() {
+        if visited.contains(&start) {
+            continue;
+        }
+        let mut component = Vec::new();
+        let mut queue = VecDeque::from([start]);
+        visited.insert(start);
+        while let Some(node) = queue.pop_front() {
+            component.push(node);
+            if let Some(nbrs) = graph.neighbors(node) {
+                for nb in nbrs {
+                    if visited.insert(nb) {
+                        queue.push_back(nb);
+                    }
+                }
+            }
+        }
+        component.sort_unstable();
+        components.push(component);
+    }
+    components
+}
+
+/// `generators::scale_free` before the bulk load, verbatim: one
+/// `add_edge` per paired stub, then components linked through the
+/// `BTreeSet` BFS. Returns the overlay and how many components the
+/// pairing left.
+fn scale_free_by_add_edge(config: &ScaleFreeConfig, rng: &mut SimRng) -> (Graph, usize) {
+    let max = config.max_degree.min(config.n as u64 - 1);
+    let degree_dist =
+        DiscretePowerLaw::new(config.min_degree, max, config.exponent).expect("valid law");
+    let mut graph = Graph::with_nodes(config.n);
+    let ids: Vec<NodeId> = graph.node_ids().collect();
+    let cap = (config.n - 1) as u64;
+    let mut degrees: Vec<u64> = (0..config.n)
+        .map(|_| degree_dist.sample(rng).min(cap))
+        .collect();
+    if degrees.iter().sum::<u64>() % 2 == 1 {
+        let i = rng.gen_range(0..config.n);
+        degrees[i] = if degrees[i] < cap {
+            degrees[i] + 1
+        } else {
+            degrees[i] - 1
+        };
+    }
+    let mut stubs: Vec<usize> = Vec::with_capacity(degrees.iter().sum::<u64>() as usize);
+    for (i, &d) in degrees.iter().enumerate() {
+        stubs.extend(std::iter::repeat(i).take(d as usize));
+    }
+    for i in (1..stubs.len()).rev() {
+        let j = rng.gen_range(0..=i);
+        stubs.swap(i, j);
+    }
+    for pair in stubs.chunks_exact(2) {
+        let (a, b) = (ids[pair[0]], ids[pair[1]]);
+        if a != b {
+            let _ = graph.add_edge(a, b);
+        }
+    }
+    let components = btree_components(&graph);
+    if components.len() > 1 {
+        let anchor_component = &components[0];
+        for comp in &components[1..] {
+            let a = anchor_component[rng.gen_range(0..anchor_component.len())];
+            let b = comp[rng.gen_range(0..comp.len())];
+            graph.add_edge(a, b).expect("distinct components");
+        }
+    }
+    (graph, components.len())
+}
+
+/// A graph of `n` nodes with the `base` edges (indices mod `n`, self
+/// pairs skipped), then `removals` of random live nodes, which leave
+/// tombstones and, past half the ids, compact.
+fn tombstoned_graph(n: usize, base: &[(usize, usize)], removals: usize, rng: &mut SimRng) -> Graph {
+    let mut g = Graph::with_nodes(n);
+    for &(a, b) in base {
+        let (a, b) = (
+            NodeId::from_raw((a % n) as u64),
+            NodeId::from_raw((b % n) as u64),
+        );
+        if a != b {
+            g.add_edge(a, b).expect("live");
+        }
+    }
+    for _ in 0..removals.min(n - 2) {
+        let live: Vec<NodeId> = g.node_ids().collect();
+        g.remove_node(live[rng.index(live.len())]).expect("live");
+    }
+    g
+}
+
+/// Adds `pairs` one `add_edge` at a time, stopping at the first error —
+/// the sequential semantics `Graph::extend_edges` must reproduce.
+fn add_each(
+    graph: &mut Graph,
+    pairs: &[(NodeId, NodeId)],
+) -> Result<(), scrip_topology::GraphError> {
+    for &(a, b) in pairs {
+        graph.add_edge(a, b)?;
+    }
+    Ok(())
+}
+
+#[test]
+fn scale_free_equals_its_add_edge_replica() {
+    let mut linked = 0;
+    for n in [2, 10, 57, 300, 2_000] {
+        for min_degree in [1, 7] {
+            for seed in 0..4 {
+                let Ok(config) = ScaleFreeConfig::new(n) else {
+                    continue;
+                };
+                let config = config.min_degree(min_degree.min(n as u64 - 1));
+                let (mut rng, mut replica_rng) =
+                    (SimRng::seed_from_u64(seed), SimRng::seed_from_u64(seed));
+                let g = generators::scale_free(&config, &mut rng).expect("generated");
+                let (replica, components) = scale_free_by_add_edge(&config, &mut replica_rng);
+                assert_eq!(g, replica, "n {n} min {min_degree} seed {seed}");
+                assert_eq!(
+                    rng.gen::<u64>(),
+                    replica_rng.gen::<u64>(),
+                    "RNG streams diverged at n {n} min {min_degree} seed {seed}"
+                );
+                linked += usize::from(components > 1);
+            }
+        }
+    }
+    assert!(linked > 0, "no case exercised the component linking");
 }
 
 proptest! {
@@ -263,6 +402,121 @@ proptest! {
         let joined = churn.join(&mut rebuilt, &mut rng);
         prop_assert_eq!(joined, walk_join(attach, &mut twin, &mut rng_a));
         prop_assert_eq!(&rebuilt, &twin);
+    }
+
+    /// `extend_edges` equals adding the same pairs one by one: duplicates
+    /// (in either orientation) and edges already present collapse, on
+    /// graphs carrying tombstones, with the attachment index built
+    /// beforehand, and through later removals that compact the sorted
+    /// ids. The index it drops rebuilds to the incrementally kept one:
+    /// same total, same pick at every target.
+    #[test]
+    fn extend_edges_matches_sequential_add_edge(
+        n in 3usize..40,
+        base in prop::collection::vec((0usize..40, 0usize..40), 0..80),
+        removals in 0usize..30,
+        pairs in prop::collection::vec((0usize..1000, 0usize..1000), 0..120),
+        index_first in proptest::bool::ANY,
+        seed in 0u64..1000,
+    ) {
+        let mut rng = SimRng::seed_from_u64(seed);
+        let mut g = tombstoned_graph(n, &base, removals, &mut rng);
+        if index_first {
+            g.build_attach_index();
+        }
+        let live: Vec<NodeId> = g.node_ids().collect();
+        let mut batch: Vec<(NodeId, NodeId)> = pairs
+            .iter()
+            .map(|&(a, b)| (live[a % live.len()], live[b % live.len()]))
+            .filter(|(a, b)| a != b)
+            .collect();
+        // Edges already present, in both orientations, and repeats.
+        let present: Vec<(NodeId, NodeId)> = g.edges().take(8).collect();
+        batch.extend(present.iter().map(|&(a, b)| (b, a)));
+        batch.extend(present);
+        batch.extend(batch.clone().into_iter().take(5));
+        let mut oracle = g.clone();
+        add_each(&mut oracle, &batch).expect("valid pairs");
+        g.extend_edges(&batch).expect("valid pairs");
+        prop_assert_eq!(&g, &oracle);
+        prop_assert_eq!(g.edge_count(), oracle.edge_count());
+        assert_picks_match_walk(&mut g, &mut rng)?;
+        prop_assert_eq!(g.attach_total().to_bits(), oracle.attach_total().to_bits());
+        let total = oracle.attach_total() as u64;
+        for target in 0..=total {
+            prop_assert_eq!(g.attach_pick(target as f64), oracle.attach_pick(target as f64));
+        }
+        // Leave down past half the ids on both: a compaction follows.
+        while g.node_count() > 2 && g.node_count() * 3 > n {
+            let first = g.node_ids().next().expect("live");
+            g.remove_node(first).expect("live");
+            oracle.remove_node(first).expect("live");
+            prop_assert_eq!(&g, &oracle);
+        }
+        prop_assert_eq!(btree_components(&g), g.connected_components());
+    }
+
+    /// A bad pair at any position fails `extend_edges` with the error
+    /// sequential `add_edge` calls stop at, and leaves the graph as it
+    /// was: no edge of the valid prefix is added.
+    #[test]
+    fn extend_edges_is_atomic_on_error(
+        n in 3usize..30,
+        base in prop::collection::vec((0usize..30, 0usize..30), 0..40),
+        removals in 0usize..10,
+        pairs in prop::collection::vec((0usize..1000, 0usize..1000), 0..40),
+        bad_at in 0usize..1000,
+        bad_kind in 0u8..3,
+        seed in 0u64..1000,
+    ) {
+        let mut rng = SimRng::seed_from_u64(seed);
+        let mut g = tombstoned_graph(n, &base, removals, &mut rng);
+        let live: Vec<NodeId> = g.node_ids().collect();
+        let mut batch: Vec<(NodeId, NodeId)> = pairs
+            .iter()
+            .map(|&(a, b)| (live[a % live.len()], live[b % live.len()]))
+            .filter(|(a, b)| a != b)
+            .collect();
+        let x = live[bad_at % live.len()];
+        let dead = (0..g.next_raw_id())
+            .map(NodeId::from_raw)
+            .find(|&id| !g.has_node(id))
+            .unwrap_or(NodeId::from_raw(g.next_raw_id() + 7));
+        let bad = match bad_kind {
+            0 => (x, x),
+            1 => (x, dead),
+            _ => (dead, x),
+        };
+        let k = bad_at % (batch.len() + 1);
+        batch.insert(k, bad);
+        let before = g.clone();
+        let expected = add_each(&mut before.clone(), &batch).expect_err("a bad pair");
+        prop_assert_eq!(g.extend_edges(&batch), Err(expected));
+        prop_assert_eq!(&g, &before);
+    }
+
+    /// The flat-marked component scan returns exactly what the
+    /// `BTreeSet` BFS it replaced returns, on sparse graphs with
+    /// tombstones and compactions behind them.
+    #[test]
+    fn connected_components_matches_the_btree_bfs(
+        n in 1usize..120,
+        p in 0.0f64..0.08,
+        departures in 0usize..100,
+        joins in 0usize..10,
+        seed in 0u64..1000,
+    ) {
+        let mut rng = SimRng::seed_from_u64(seed);
+        let mut g = generators::erdos_renyi(n, p, &mut rng).expect("generated");
+        let churn = ChurnTopology::new(2);
+        for _ in 0..departures.min(n.saturating_sub(1)) {
+            let ids: Vec<NodeId> = g.node_ids().collect();
+            churn.leave(&mut g, ids[rng.index(ids.len())]).expect("live");
+        }
+        for _ in 0..joins {
+            churn.join(&mut g, &mut rng);
+        }
+        prop_assert_eq!(g.connected_components(), btree_components(&g));
     }
 
     /// Mean degree matches the handshake identity.
